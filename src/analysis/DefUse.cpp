@@ -5,37 +5,19 @@
 #include "analysis/CFG.h"
 #include "ir/Function.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdint>
 
 using namespace gdp;
 
 namespace {
 
-/// A fixed-width bitset over definition indices.
-class DefBits {
-public:
-  explicit DefBits(unsigned NumBits = 0) : Words((NumBits + 63) / 64, 0) {}
+bool testBit(const uint64_t *Words, unsigned I) {
+  return (Words[I / 64] >> (I % 64)) & 1ULL;
+}
 
-  void set(unsigned I) { Words[I / 64] |= (1ULL << (I % 64)); }
-  void reset(unsigned I) { Words[I / 64] &= ~(1ULL << (I % 64)); }
-  bool test(unsigned I) const {
-    return (Words[I / 64] >> (I % 64)) & 1ULL;
-  }
-
-  /// this |= Other; returns true if anything changed.
-  bool unionWith(const DefBits &Other) {
-    bool Changed = false;
-    for (size_t W = 0; W != Words.size(); ++W) {
-      uint64_t New = Words[W] | Other.Words[W];
-      Changed |= New != Words[W];
-      Words[W] = New;
-    }
-    return Changed;
-  }
-
-private:
-  std::vector<uint64_t> Words;
-};
+void setBit(uint64_t *Words, unsigned I) { Words[I / 64] |= 1ULL << (I % 64); }
 
 } // namespace
 
@@ -58,80 +40,101 @@ DefUse::DefUse(const Function &F) {
 
   unsigned NumDefs = getNumDefs();
   unsigned NumBlocks = F.getNumBlocks();
+  unsigned NumRegs = F.getNumVRegs();
+  size_t Words = (NumDefs + 63) / 64;
 
-  // Defs grouped by register, for KILL computation.
-  std::vector<std::vector<unsigned>> DefsOfReg(F.getNumVRegs());
+  // Defs grouped by register, ascending.
+  std::vector<std::vector<unsigned>> DefsOfReg(NumRegs);
   for (unsigned D = 0; D != NumDefs; ++D)
     DefsOfReg[static_cast<unsigned>(Defs[D].Reg)].push_back(D);
 
-  // --- GEN/KILL per block.
-  std::vector<DefBits> Gen(NumBlocks, DefBits(NumDefs));
-  std::vector<DefBits> Kill(NumBlocks, DefBits(NumDefs));
+  // Per-register scratch: the last def of the register seen in block
+  // Stamp[R], or stale when Stamp[R] differs from the current block.
+  std::vector<unsigned> Stamp(NumRegs, ~0u);
+  std::vector<unsigned> LastDef(NumRegs, 0);
+
+  // --- KILL per block: every def of each register the block writes, once
+  // per (block, register). GEN is the last def of each such register; it
+  // seeds OUT, which only grows.
+  std::vector<uint64_t> Kill(NumBlocks * Words, 0);
+  std::vector<uint64_t> In(NumBlocks * Words, 0);
+  std::vector<uint64_t> Out(NumBlocks * Words, 0);
+  std::vector<unsigned> Written;
   for (unsigned B = 0; B != NumBlocks; ++B) {
-    const BasicBlock &BB = F.getBlock(B);
-    for (const auto &Op : BB.operations()) {
+    Written.clear();
+    for (const auto &Op : F.getBlock(B).operations()) {
       if (!Op->hasDest())
         continue;
-      unsigned D =
-          static_cast<unsigned>(DefIdxOfOp[static_cast<unsigned>(Op->getId())]);
-      for (unsigned Other : DefsOfReg[static_cast<unsigned>(Op->getDest())]) {
-        Kill[B].set(Other);
-        Gen[B].reset(Other);
+      unsigned R = static_cast<unsigned>(Op->getDest());
+      if (Stamp[R] != B) {
+        Stamp[R] = B;
+        Written.push_back(R);
       }
-      Kill[B].reset(D);
-      Gen[B].set(D);
+      LastDef[R] =
+          static_cast<unsigned>(DefIdxOfOp[static_cast<unsigned>(Op->getId())]);
+    }
+    uint64_t *BKill = Kill.data() + B * Words;
+    for (unsigned R : Written) {
+      for (unsigned D : DefsOfReg[R])
+        setBit(BKill, D);
+      setBit(Out.data() + B * Words, LastDef[R]);
     }
   }
 
-  // --- Iterate IN/OUT to a fixpoint over reverse post order.
+  // --- Iterate IN/OUT to a fixpoint over reverse post order, a word at a
+  // time: OUT = GEN ∪ (IN − KILL).
   CFG Cfg(F);
-  std::vector<DefBits> In(NumBlocks, DefBits(NumDefs));
-  std::vector<DefBits> Out(NumBlocks, DefBits(NumDefs));
   // Entry IN: parameter pseudo-definitions.
-  for (unsigned P = 0; P != F.getNumParams(); ++P)
-    In[0].set(static_cast<unsigned>(DefIdxOfParam[P]));
+  if (NumBlocks != 0)
+    for (unsigned P = 0; P != F.getNumParams(); ++P)
+      setBit(In.data(), static_cast<unsigned>(DefIdxOfParam[P]));
 
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (int BSigned : Cfg.reversePostOrder()) {
       unsigned B = static_cast<unsigned>(BSigned);
-      for (int Pred : Cfg.predecessors(B))
-        In[B].unionWith(Out[static_cast<unsigned>(Pred)]);
-      DefBits NewOut = In[B];
-      // OUT = GEN ∪ (IN − KILL): clear killed then add generated.
-      for (unsigned D = 0; D != NumDefs; ++D)
-        if (Kill[B].test(D))
-          NewOut.reset(D);
-      for (unsigned D = 0; D != NumDefs; ++D)
-        if (Gen[B].test(D))
-          NewOut.set(D);
-      Changed |= Out[B].unionWith(NewOut);
+      uint64_t *BIn = In.data() + B * Words;
+      for (int Pred : Cfg.predecessors(B)) {
+        const uint64_t *POut =
+            Out.data() + static_cast<unsigned>(Pred) * Words;
+        for (size_t W = 0; W != Words; ++W)
+          BIn[W] |= POut[W];
+      }
+      uint64_t *BOut = Out.data() + B * Words;
+      const uint64_t *BKill = Kill.data() + B * Words;
+      for (size_t W = 0; W != Words; ++W) {
+        uint64_t New = BOut[W] | (BIn[W] & ~BKill[W]);
+        Changed |= New != BOut[W];
+        BOut[W] = New;
+      }
     }
   }
 
-  // --- Walk each block tracking the current reaching set per register to
-  // attribute definitions to every use.
+  // --- Attribute definitions to every use: the last earlier def of the
+  // register in the same block, else its defs in the block's IN set.
   ReachingPerUse.resize(F.getNumOpIds());
   UsesPerDefOp.resize(F.getNumOpIds());
   UsesPerParam.resize(F.getNumParams());
+  std::fill(Stamp.begin(), Stamp.end(), ~0u);
 
   for (unsigned B = 0; B != NumBlocks; ++B) {
-    // Current reaching defs per register, seeded from block IN.
-    std::vector<std::vector<unsigned>> Current(F.getNumVRegs());
-    for (unsigned D = 0; D != NumDefs; ++D)
-      if (In[B].test(D))
-        Current[static_cast<unsigned>(Defs[D].Reg)].push_back(D);
-
-    const BasicBlock &BB = F.getBlock(B);
-    for (const auto &Op : BB.operations()) {
+    const uint64_t *BIn = In.data() + B * Words;
+    for (const auto &Op : F.getBlock(B).operations()) {
       unsigned OpId = static_cast<unsigned>(Op->getId());
       auto &PerSrc = ReachingPerUse[OpId];
       PerSrc.resize(Op->getNumSrcs());
       for (unsigned S = 0, E = Op->getNumSrcs(); S != E; ++S) {
-        int Reg = Op->getSrc(S);
-        PerSrc[S] = Current[static_cast<unsigned>(Reg)];
-        for (unsigned D : PerSrc[S]) {
+        unsigned R = static_cast<unsigned>(Op->getSrc(S));
+        std::vector<unsigned> &Reaching = PerSrc[S];
+        if (Stamp[R] == B) {
+          Reaching.assign(1, LastDef[R]);
+        } else {
+          for (unsigned D : DefsOfReg[R])
+            if (testBit(BIn, D))
+              Reaching.push_back(D);
+        }
+        for (unsigned D : Reaching) {
           UseSite Use{Op->getId(), static_cast<int>(S)};
           if (Defs[D].isParam())
             UsesPerParam[static_cast<unsigned>(Defs[D].paramIndex())]
@@ -141,8 +144,9 @@ DefUse::DefUse(const Function &F) {
         }
       }
       if (Op->hasDest()) {
-        unsigned D = static_cast<unsigned>(DefIdxOfOp[OpId]);
-        Current[static_cast<unsigned>(Op->getDest())].assign(1, D);
+        unsigned R = static_cast<unsigned>(Op->getDest());
+        Stamp[R] = B;
+        LastDef[R] = static_cast<unsigned>(DefIdxOfOp[OpId]);
       }
     }
   }

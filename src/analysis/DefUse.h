@@ -11,6 +11,12 @@
 /// program graph the partitioners and the scheduler operate on. An edge
 /// whose endpoints land on different clusters costs an intercluster move.
 ///
+/// GEN/KILL are built once per (block, register written), and the fixpoint
+/// applies OUT = GEN | (IN & ~KILL) a 64-bit word at a time. A use is
+/// answered from the last earlier def of its register in the same block,
+/// else from that register's defs filtered by the block's IN set, so every
+/// def list is in ascending def-index order.
+///
 /// Function parameters are modeled as pseudo-definitions at the entry; uses
 /// reached only by parameter pseudo-defs have no producing operation inside
 /// the function (argument marshalling across calls is not charged moves —

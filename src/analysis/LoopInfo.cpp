@@ -7,7 +7,6 @@
 #include "profile/ProfileData.h"
 
 #include <algorithm>
-#include <map>
 
 using namespace gdp;
 
@@ -17,52 +16,96 @@ LoopInfo::LoopInfo(const Function &F, const CFG &Cfg) {
   if (N == 0)
     return;
 
-  // --- Iterative dominator sets (blocks are few; bitsets suffice).
-  std::vector<std::vector<bool>> Dom(N, std::vector<bool>(N, true));
-  Dom[0].assign(N, false);
-  Dom[0][0] = true;
+  // --- Dominator tree over the reachable blocks (Cooper, Harvey and
+  // Kennedy, "A Simple, Fast Dominance Algorithm"). The CFG lists the
+  // reachable blocks first in its reverse post order, entry first.
+  // Unreachable blocks get no idom and join no loop.
+  constexpr unsigned None = ~0u;
+  const std::vector<int> &RPO = Cfg.reversePostOrder();
+  std::vector<unsigned> RPONum(N, None);
+  unsigned NumReachable = 0;
+  for (int B : RPO)
+    if (Cfg.isReachable(static_cast<unsigned>(B)))
+      RPONum[static_cast<unsigned>(B)] = NumReachable++;
+  std::vector<unsigned> IDom(N, None);
+  IDom[0] = 0;
+  auto Intersect = [&](unsigned A, unsigned B) {
+    while (A != B) {
+      while (RPONum[A] > RPONum[B])
+        A = IDom[A];
+      while (RPONum[B] > RPONum[A])
+        B = IDom[B];
+    }
+    return A;
+  };
   bool Changed = true;
   while (Changed) {
     Changed = false;
-    for (int BSigned : Cfg.reversePostOrder()) {
-      unsigned B = static_cast<unsigned>(BSigned);
-      if (B == 0 || !Cfg.isReachable(B))
-        continue;
-      std::vector<bool> NewDom(N, true);
-      bool Any = false;
-      for (int Pred : Cfg.predecessors(B)) {
-        if (!Cfg.isReachable(static_cast<unsigned>(Pred)))
-          continue;
-        Any = true;
-        for (unsigned I = 0; I != N; ++I)
-          NewDom[I] = NewDom[I] && Dom[static_cast<unsigned>(Pred)][I];
+    for (unsigned I = 1; I < NumReachable; ++I) {
+      unsigned B = static_cast<unsigned>(RPO[I]);
+      unsigned NewIDom = None;
+      for (int PredSigned : Cfg.predecessors(B)) {
+        unsigned Pred = static_cast<unsigned>(PredSigned);
+        if (IDom[Pred] == None)
+          continue; // Unreachable, or not reached yet in this sweep.
+        NewIDom = NewIDom == None ? Pred : Intersect(Pred, NewIDom);
       }
-      if (!Any)
-        NewDom.assign(N, false);
-      NewDom[B] = true;
-      if (NewDom != Dom[B]) {
-        Dom[B] = std::move(NewDom);
+      if (NewIDom != IDom[B]) {
+        IDom[B] = NewIDom;
         Changed = true;
       }
     }
   }
 
+  // Pre/post-order numbers of the dominator tree: H dominates B iff B's
+  // interval nests in H's.
+  std::vector<std::vector<unsigned>> Children(N);
+  for (unsigned B = 1; B != N; ++B)
+    if (IDom[B] != None)
+      Children[IDom[B]].push_back(B);
+  std::vector<unsigned> Pre(N, 0), Post(N, 0);
+  {
+    unsigned PreClock = 0, PostClock = 0;
+    std::vector<std::pair<unsigned, size_t>> Stack; // (block, next child)
+    Pre[0] = PreClock++;
+    Stack.push_back({0, 0});
+    while (!Stack.empty()) {
+      auto &[Block, Next] = Stack.back();
+      if (Next != Children[Block].size()) {
+        unsigned C = Children[Block][Next++];
+        Pre[C] = PreClock++;
+        Stack.push_back({C, 0});
+      } else {
+        Post[Block] = PostClock++;
+        Stack.pop_back();
+      }
+    }
+  }
+  auto Dominates = [&](unsigned H, unsigned B) {
+    return Pre[H] <= Pre[B] && Post[B] <= Post[H];
+  };
+
   // --- Back edges and natural loops; loops sharing a header merge.
-  std::map<int, std::vector<int>> BodyOfHeader; // header -> sorted blocks
+  std::vector<std::vector<int>> BodyOfHeader(N); // header -> member blocks
+  std::vector<unsigned> Mark(N, 0);              // == Epoch: in this loop
+  unsigned Epoch = 0;
+  std::vector<unsigned> Work;
   for (unsigned B = 0; B != N; ++B) {
     if (!Cfg.isReachable(B))
       continue;
     for (int Succ : Cfg.successors(B)) {
       unsigned H = static_cast<unsigned>(Succ);
-      if (!Dom[B][H])
+      if (!Dominates(H, B))
         continue; // Not a back edge.
       // Natural loop of (B -> H): H plus everything reaching B without
       // passing through H.
-      std::vector<bool> InLoop(N, false);
-      InLoop[H] = true;
-      std::vector<unsigned> Work;
-      if (!InLoop[B]) {
-        InLoop[B] = true;
+      auto &Body = BodyOfHeader[H];
+      ++Epoch;
+      Mark[H] = Epoch;
+      Body.push_back(static_cast<int>(H));
+      if (Mark[B] != Epoch) {
+        Mark[B] = Epoch;
+        Body.push_back(static_cast<int>(B));
         Work.push_back(B);
       }
       while (!Work.empty()) {
@@ -70,43 +113,45 @@ LoopInfo::LoopInfo(const Function &F, const CFG &Cfg) {
         Work.pop_back();
         for (int Pred : Cfg.predecessors(X)) {
           unsigned PB = static_cast<unsigned>(Pred);
-          if (!InLoop[PB] && Cfg.isReachable(PB)) {
-            InLoop[PB] = true;
+          if (Mark[PB] != Epoch && Cfg.isReachable(PB)) {
+            Mark[PB] = Epoch;
+            Body.push_back(Pred);
             Work.push_back(PB);
           }
         }
       }
-      auto &Body = BodyOfHeader[static_cast<int>(H)];
-      for (unsigned X = 0; X != N; ++X)
-        if (InLoop[X])
-          Body.push_back(static_cast<int>(X));
-      std::sort(Body.begin(), Body.end());
-      Body.erase(std::unique(Body.begin(), Body.end()), Body.end());
     }
   }
 
-  for (auto &[Header, Blocks] : BodyOfHeader) {
+  std::vector<int> LoopOfHeader(N, -1);
+  for (unsigned H = 0; H != N; ++H) {
+    auto &Blocks = BodyOfHeader[H];
+    if (Blocks.empty())
+      continue;
+    std::sort(Blocks.begin(), Blocks.end());
+    Blocks.erase(std::unique(Blocks.begin(), Blocks.end()), Blocks.end());
     Loop L;
-    L.Header = Header;
-    L.Blocks = Blocks;
-    for (int Pred : Cfg.predecessors(static_cast<unsigned>(Header)))
-      if (!std::binary_search(Blocks.begin(), Blocks.end(), Pred))
+    L.Header = static_cast<int>(H);
+    L.Blocks = std::move(Blocks);
+    for (int Pred : Cfg.predecessors(H))
+      if (!std::binary_search(L.Blocks.begin(), L.Blocks.end(), Pred))
         L.EntryPreds.push_back(Pred);
+    LoopOfHeader[H] = static_cast<int>(Loops.size());
     Loops.push_back(std::move(L));
   }
 
-  // --- Depth and innermost-loop mapping (innermost = smallest containing).
-  for (unsigned I = 0; I != Loops.size(); ++I) {
-    for (unsigned J = 0; J != Loops.size(); ++J)
-      if (I != J && Loops[J].Blocks.size() > Loops[I].Blocks.size() &&
-          std::binary_search(Loops[J].Blocks.begin(), Loops[J].Blocks.end(),
-                             Loops[I].Header))
-        ++Loops[I].Depth;
-    for (int B : Loops[I].Blocks) {
+  // --- Depth (one plus the number of larger loops holding the header) and
+  // innermost-loop mapping (innermost = smallest containing).
+  for (unsigned J = 0; J != Loops.size(); ++J) {
+    for (int B : Loops[J].Blocks) {
+      int I = LoopOfHeader[static_cast<unsigned>(B)];
+      if (I >= 0 && Loops[J].Blocks.size() >
+                        Loops[static_cast<unsigned>(I)].Blocks.size())
+        ++Loops[static_cast<unsigned>(I)].Depth;
       int Cur = InnermostOf[static_cast<unsigned>(B)];
       if (Cur < 0 || Loops[static_cast<unsigned>(Cur)].Blocks.size() >
-                         Loops[I].Blocks.size())
-        InnermostOf[static_cast<unsigned>(B)] = static_cast<int>(I);
+                         Loops[J].Blocks.size())
+        InnermostOf[static_cast<unsigned>(B)] = static_cast<int>(J);
     }
   }
 }

@@ -36,6 +36,10 @@ ProgramGraph::ProgramGraph(const Program &P, const ProfileData &Prof) {
 
   // --- Register-flow edges from def-use chains, weighted by the use
   // block's execution frequency (at least 1 so cold code still coheres).
+  // One DefUse per function; it also yields the nodes a call binds to:
+  // the callee's parameter uses (in parameter order) and its value returns.
+  std::vector<std::vector<unsigned>> ParamUseNodes(P.getNumFunctions());
+  std::vector<std::vector<unsigned>> RetNodes(P.getNumFunctions());
   for (unsigned F = 0; F != P.getNumFunctions(); ++F) {
     const Function &Fn = P.getFunction(F);
     DefUse DU(Fn);
@@ -53,7 +57,14 @@ ProgramGraph::ProgramGraph(const Program &P, const ProfileData &Prof) {
                              nodeOf(F, UseId), W});
           }
       }
+      const Operation *Term = BB->getTerminator();
+      if (Term && Term->getOpcode() == Opcode::Ret && Term->getNumSrcs() > 0)
+        RetNodes[F].push_back(nodeOf(F, static_cast<unsigned>(Term->getId())));
     }
+    for (unsigned Param = 0; Param != Fn.getNumParams(); ++Param)
+      for (const auto &Use : DU.usesOfParam(Param))
+        ParamUseNodes[F].push_back(
+            nodeOf(F, static_cast<unsigned>(Use.OpId)));
   }
 
   // --- Call-boundary edges: call node <-> callee parameter uses and
@@ -68,21 +79,10 @@ ProgramGraph::ProgramGraph(const Program &P, const ProfileData &Prof) {
         uint64_t W = std::max<uint64_t>(
             1, Prof.getBlockFreq(F, static_cast<unsigned>(BB->getId())));
         unsigned CalleeId = static_cast<unsigned>(Op->getCallee());
-        const Function &Callee = P.getFunction(CalleeId);
-        DefUse CalleeDU(Callee);
-        for (unsigned Param = 0; Param != Callee.getNumParams(); ++Param)
-          for (const auto &Use : CalleeDU.usesOfParam(Param))
-            Edges.push_back(
-                {CallNode,
-                 nodeOf(CalleeId, static_cast<unsigned>(Use.OpId)), W});
-        for (const auto &CB : Callee.blocks()) {
-          const Operation *Term = CB->getTerminator();
-          if (Term && Term->getOpcode() == Opcode::Ret &&
-              Term->getNumSrcs() > 0)
-            Edges.push_back(
-                {nodeOf(CalleeId, static_cast<unsigned>(Term->getId())),
-                 CallNode, W});
-        }
+        for (unsigned UseNode : ParamUseNodes[CalleeId])
+          Edges.push_back({CallNode, UseNode, W});
+        for (unsigned RetNode : RetNodes[CalleeId])
+          Edges.push_back({RetNode, CallNode, W});
       }
     }
   }

@@ -475,7 +475,7 @@ ClusterAssignment gdp::runRHOP(const Program &P, const ProfileData &Prof,
     std::vector<BlockDFG> DFGs;
     DFGs.reserve(Fn.getNumBlocks());
     for (unsigned B = 0; B != Fn.getNumBlocks(); ++B)
-      DFGs.emplace_back(Fn, Fn.getBlock(B), DU, OI, &LI);
+      DFGs.emplace_back(Fn.getBlock(B), DU, OI, &LI);
     std::vector<RegionPlan> Plans;
     Plans.reserve(Fn.getNumBlocks());
     for (unsigned B = 0; B != Fn.getNumBlocks(); ++B)

@@ -51,21 +51,18 @@ void BlockDFG::addEdge(unsigned From, unsigned To, EdgeKind Kind) {
 }
 
 int BlockDFG::localIndexOf(unsigned OpId) const {
-  if (OpId >= LocalOf.size())
+  if (OpId >= Index->size() || Index->getBlockOf(OpId) != BlockId)
     return -1;
-  return LocalOf[OpId];
+  return Index->getPosInBlock(OpId);
 }
 
-BlockDFG::BlockDFG(const Function &F, const BasicBlock &BB, const DefUse &DU,
-                   const OpIndex &OI, const LoopInfo *LI) {
+BlockDFG::BlockDFG(const BasicBlock &BB, const DefUse &DU, const OpIndex &OI,
+                   const LoopInfo *LI)
+    : Index(&OI), BlockId(BB.getId()) {
   unsigned N = BB.size();
   Ops.reserve(N);
-  LocalOf.assign(F.getNumOpIds(), -1);
-  for (unsigned I = 0; I != N; ++I) {
-    const Operation &Op = BB.getOp(I);
-    LocalOf[static_cast<unsigned>(Op.getId())] = static_cast<int>(I);
-    Ops.push_back(&Op);
-  }
+  for (unsigned I = 0; I != N; ++I)
+    Ops.push_back(&BB.getOp(I));
   Succs.resize(N);
   Preds.resize(N);
 
@@ -82,7 +79,7 @@ BlockDFG::BlockDFG(const Function &F, const BasicBlock &BB, const DefUse &DU,
           LiveInList.push_back({U, -1, Hoist});
           continue;
         }
-        int Local = LocalOf[static_cast<unsigned>(Def.OpId)];
+        int Local = localIndexOf(static_cast<unsigned>(Def.OpId));
         // A same-block def reaches this use only if it precedes it; a def
         // later in the block reaches uses here only around the loop —
         // that's a cross-iteration value, treated as a live-in.

@@ -24,7 +24,6 @@ namespace gdp {
 
 class BasicBlock;
 class DefUse;
-class Function;
 class LoopInfo;
 class OpIndex;
 class Operation;
@@ -58,8 +57,9 @@ public:
 
   /// Builds the region DFG. When \p LI is given, live-ins of values that
   /// are invariant in this block's innermost loop are marked hoistable.
-  BlockDFG(const Function &F, const BasicBlock &BB, const DefUse &DU,
-           const OpIndex &OI, const LoopInfo *LI = nullptr);
+  /// \p OI answers localIndexOf, so it must outlive the DFG.
+  BlockDFG(const BasicBlock &BB, const DefUse &DU, const OpIndex &OI,
+           const LoopInfo *LI = nullptr);
 
   unsigned size() const { return static_cast<unsigned>(Ops.size()); }
   const Operation &getOp(unsigned Local) const { return *Ops[Local]; }
@@ -80,8 +80,9 @@ public:
 private:
   void addEdge(unsigned From, unsigned To, EdgeKind Kind);
 
+  const OpIndex *Index; // answers localIndexOf; outlives the DFG
+  int BlockId;
   std::vector<const Operation *> Ops;
-  std::vector<int> LocalOf; // op id -> local index or -1
   std::vector<Edge> Edges;
   std::vector<std::vector<unsigned>> Succs;
   std::vector<std::vector<unsigned>> Preds;

@@ -236,7 +236,7 @@ ProgramSchedule gdp::scheduleProgram(const Program &P,
     LoopInfo LI(Fn, Cfg);
     Result.BlockLengths[F].resize(Fn.getNumBlocks());
     for (unsigned B = 0; B != Fn.getNumBlocks(); ++B) {
-      BlockDFG DFG(Fn, Fn.getBlock(B), DU, OI, &LI);
+      BlockDFG DFG(Fn.getBlock(B), DU, OI, &LI);
       BlockSchedule BS = scheduleBlock(DFG, MM, CA.func(F));
       Result.BlockLengths[F][B] = BS.Length;
       uint64_t Freq = Prof.getBlockFreq(F, B);

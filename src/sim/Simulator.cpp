@@ -141,7 +141,7 @@ SimResult gdp::simulateTrace(const Program &P, const ExecTrace &Trace,
         FD.InLoop[L][static_cast<unsigned>(B)] = true;
     }
     for (unsigned B = 0; B != Fn.getNumBlocks(); ++B) {
-      BlockDFG DFG(Fn, Fn.getBlock(B), DU, OI, &LI);
+      BlockDFG DFG(Fn.getBlock(B), DU, OI, &LI);
       BlockSchedule BS = scheduleBlock(DFG, MM, CA.func(F));
       BlockDesc &BD = FD.Blocks[B];
       BD.Length = BS.Length;

@@ -956,7 +956,7 @@ int cmdSchedule(const std::string &Spec, const std::string &StrategyArg,
   DefUse DU(Fn);
   CFG Cfg(Fn);
   LoopInfo LI(Fn, Cfg);
-  BlockDFG DFG(Fn, Fn.getBlock(BestB), DU, OI, &LI);
+  BlockDFG DFG(Fn.getBlock(BestB), DU, OI, &LI);
   BlockSchedule BS = scheduleBlock(DFG, MM, R.Assignment.func(BestF));
   std::printf("hottest region: %s/bb%u (%s), executed %llu times under %s\n\n",
               Fn.getName().c_str(), BestB,
