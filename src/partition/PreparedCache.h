@@ -52,9 +52,10 @@ struct CachedPreparation {
 /// losers block on the winner's future).
 class PreparedProgramCache {
 public:
-  /// Default entry cap: generous — the full bench suite (every workload in
-  /// trace and no-trace flavors) fits with room to spare.
-  static constexpr size_t DefaultCapacity = 64;
+  /// Default entry cap: the 20-workload bench suite fits without eviction
+  /// churn, while one-shot programs (a cached 1000-op preparation is
+  /// ~220 KB) cannot hold much memory. `--cache-cap` raises it.
+  static constexpr size_t DefaultCapacity = 32;
 
   /// The process-wide instance used by the bench harness and gdptool.
   static PreparedProgramCache &global();

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cassert>
 #include <optional>
+#include <tuple>
 
 using namespace gdp;
 
@@ -37,6 +38,9 @@ struct RhopScratch {
   explicit RhopScratch(support::Arena *A) : Order(A), Count(A) {}
   support::ArenaVector<unsigned> Order; ///< Shuffled group visit order.
   support::ArenaVector<unsigned> Count; ///< Ops/cluster (balance tie-break).
+  /// The region being refined, scored incrementally (heap, sized by the
+  /// largest region).
+  ScheduleEstimator::State EstState;
 };
 
 /// Everything about one region that does not depend on the evolving
@@ -312,7 +316,7 @@ void refineLevel(const RegionPlan &Plan, unsigned Level,
                  std::vector<int> &Assign, const MachineModel &MM,
                  const RHOPOptions &Opt, Random &RNG, RhopStats &RS,
                  RhopScratch &Scratch) {
-  const ScheduleEstimator &Est = *Plan.Est;
+  ScheduleEstimator::State &State = Scratch.EstState;
   unsigned NumClusters = MM.getNumClusters();
   unsigned GBase = Plan.LevelGroupOff[Level];
   unsigned NumGroups = Plan.groupsAt(Level);
@@ -339,22 +343,25 @@ void refineLevel(const RegionPlan &Plan, unsigned Level,
     // Max ops on any one cluster — the tie-break metric.
     return *std::max_element(Count.begin(), Count.end());
   };
+  auto BalanceIfMoved = [&](unsigned Size, int From, int To) {
+    Count[static_cast<unsigned>(From)] -= Size;
+    Count[static_cast<unsigned>(To)] += Size;
+    unsigned Balance = OpBalance();
+    Count[static_cast<unsigned>(To)] -= Size;
+    Count[static_cast<unsigned>(From)] += Size;
+    return Balance;
+  };
 
   // Lexicographic objective: estimated schedule length, then
   // intercluster transfer count (moves the estimate hides still cost
   // real bandwidth and energy), then operation balance.
-  auto Score = [&]() {
-    unsigned Moves;
-    unsigned Len = Est.estimateWithMoves(Assign, Moves);
-    return std::make_tuple(Len, Moves, OpBalance());
-  };
-
-  // Score() is a pure function of (Assign, Count), and every trial either
-  // restores the pre-trial state or commits the best candidate — whose
-  // score we already have. So the current state's score only needs the
-  // estimator once per level; after that it is carried from group to
-  // group and across passes instead of being recomputed.
-  auto CurScore = Score();
+  //
+  // The estimator state always holds the committed assignment: trials
+  // score a candidate move without applying it, and only a committed
+  // move reloads the state. The current score is carried from group to
+  // group and across passes.
+  Estimate Loaded = State.load(Assign);
+  auto CurScore = std::make_tuple(Loaded.Length, Loaded.Moves, OpBalance());
 
   // Persistent, deterministically shuffled visit order.
   auto &Order = Scratch.Order;
@@ -367,28 +374,43 @@ void refineLevel(const RegionPlan &Plan, unsigned Level,
       std::swap(Order[I - 1], Order[RNG.nextBelow(I)]);
 
     for (unsigned G : Order) {
-      if (Plan.GroupLock[GBase + G] >= 0 ||
-          Plan.MemberOff[GBase + G] == Plan.MemberOff[GBase + G + 1])
+      const unsigned *Begin =
+          Plan.MemberIds.data() + Plan.MemberOff[GBase + G];
+      const unsigned *End =
+          Plan.MemberIds.data() + Plan.MemberOff[GBase + G + 1];
+      if (Plan.GroupLock[GBase + G] >= 0 || Begin == End)
         continue;
       // Representative: first (smallest) member local index.
-      int Cur = Assign[Plan.OpIds[Plan.MemberIds[Plan.MemberOff[GBase + G]]]];
+      int Cur = Assign[Plan.OpIds[*Begin]];
       auto BestScore = CurScore;
       int Best = Cur;
-      int At = Cur; // where the group currently sits during trials
       for (unsigned C = 0; C != NumClusters; ++C) {
         if (static_cast<int>(C) == Cur)
           continue;
-        SetGroup(G, At, static_cast<int>(C));
-        At = static_cast<int>(C);
-        auto S = Score();
+        TrialEstimate T = State.trial(Begin, End, C);
+        unsigned Balance =
+            BalanceIfMoved(static_cast<unsigned>(End - Begin), Cur,
+                           static_cast<int>(C));
+        auto S = std::make_tuple(T.Length, T.Moves, Balance);
+        // An inexact length is a lower bound: evaluate fully only when
+        // the bound does not already rule the move out.
+        if (!T.Exact && S < BestScore) {
+          SetGroup(G, Cur, static_cast<int>(C));
+          std::get<0>(S) = Plan.Est->evaluate(Assign).Length;
+          SetGroup(G, static_cast<int>(C), Cur);
+        }
         if (S < BestScore) {
           Best = static_cast<int>(C);
           BestScore = S;
         }
       }
-      SetGroup(G, At, Best);
-      CurScore = BestScore;
       if (Best != Cur) {
+        SetGroup(G, Cur, Best);
+        Loaded = State.load(Assign);
+        assert(std::make_tuple(Loaded.Length, Loaded.Moves, OpBalance()) ==
+                   BestScore &&
+               "trial score disagrees with the committed state");
+        CurScore = BestScore;
         Moved = true;
         ++RS.GroupMoves;
       }
@@ -421,6 +443,7 @@ void runRegion(const BlockDFG &DFG, RegionPlan &Plan, const MachineModel &MM,
     return;
 
   RS.CoarsenLevels += Plan.Levels - 1;
+  Scratch.EstState.bind(*Plan.Est);
 
   for (unsigned Level = Plan.Levels; Level-- > 0;) {
     unsigned GBase = Plan.LevelGroupOff[Level];

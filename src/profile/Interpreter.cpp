@@ -131,6 +131,10 @@ InterpResult Interpreter::run(uint64_t MaxSteps) {
       Regs[Op.getDest()].I = V;
       Regs[Op.getDest()].F = static_cast<double>(V);
     };
+    // Integer add/sub/mul wrap (two's complement), computed unsigned so
+    // overflow is defined.
+    auto RdU = [&](unsigned S) { return static_cast<uint64_t>(RdI(S)); };
+    auto WrU = [&](uint64_t V) { WrI(static_cast<int64_t>(V)); };
     auto WrF = [&](double V) {
       Regs[Op.getDest()].F = V;
       Regs[Op.getDest()].I = static_cast<int64_t>(V);
@@ -146,13 +150,13 @@ InterpResult Interpreter::run(uint64_t MaxSteps) {
     bool Advance = true;
     switch (Op.getOpcode()) {
     case Opcode::Add:
-      WrI(RdI(0) + RdI(1));
+      WrU(RdU(0) + RdU(1));
       break;
     case Opcode::Sub:
-      WrI(RdI(0) - RdI(1));
+      WrU(RdU(0) - RdU(1));
       break;
     case Opcode::Mul:
-      WrI(RdI(0) * RdI(1));
+      WrU(RdU(0) * RdU(1));
       break;
     case Opcode::Div:
       if (RdI(1) == 0 || (RdI(0) == INT64_MIN && RdI(1) == -1)) {

@@ -39,7 +39,7 @@ struct DaemonOptions {
   /// (structured UsageError diag, exit 2).
   std::string Affinity;
   size_t MaxInflight = 64;    ///< --max-inflight admission gate.
-  size_t CacheCap = 0;        ///< --cache-cap (0 = keep the default, 64).
+  size_t CacheCap = 0;        ///< --cache-cap (0 = keep the default, 32).
   uint64_t DefaultDeadlineMs = 0; ///< --deadline-ms for deadline-less requests.
   bool Deterministic = false; ///< --deterministic response bodies.
   int IoTimeoutMs = 30000;    ///< --io-timeout-ms per-frame I/O.

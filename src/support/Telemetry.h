@@ -97,16 +97,16 @@ namespace detail {
 /// install one shard per task and merge them at join time, in input
 /// order, which keeps counters exact and deterministic (see
 /// docs/PARALLELISM.md).
-extern thread_local TelemetrySession *Current;
+inline thread_local TelemetrySession *Current = nullptr;
 
 /// Innermost live span on this thread (0 = none), in the id space of the
 /// installed session. Maintained by Span; saved/zeroed/restored by
 /// ScopedSession so a shard session never parents onto a foreign id.
-extern thread_local uint64_t CurrentSpanId;
+inline thread_local uint64_t CurrentSpanId = 0;
 
 /// The span context captured when the currently-executing ThreadPool task
 /// was submitted (0 = none). Set by the pool around task bodies.
-extern thread_local uint64_t InheritedSpanId;
+inline thread_local uint64_t InheritedSpanId = 0;
 } // namespace detail
 
 /// The session installed on this thread, or null when telemetry is off.

@@ -131,7 +131,7 @@ TEST_P(SchedFuzzTest, RandomAssignmentsKeepSchedulerInvariants) {
       }
       // The estimator never exceeds the real schedule (it is a max of
       // lower bounds).
-      EXPECT_LE(Est.estimate(Assign), BS.Length + 1);
+      EXPECT_LE(Est.evaluate(Assign).Length, BS.Length + 1);
     }
   }
 }

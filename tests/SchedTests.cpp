@@ -342,19 +342,19 @@ TEST(EstimatorTest, MatchesResourceBound) {
   R.finalize();
   MachineModel MM = MachineModel::makeDefault();
   ScheduleEstimator Est(*R.DFG, MM);
-  EXPECT_GE(Est.estimate(R.uniformAssign(0)), 5u);
+  EXPECT_GE(Est.evaluate(R.uniformAssign(0)).Length, 5u);
 }
 
 TEST(EstimatorTest, CrossClusterAddsMoveLatencyToCP) {
   Region R = makeSimpleBlock();
   MachineModel MM = MachineModel::makeDefault(2, 5);
   ScheduleEstimator Est(*R.DFG, MM);
-  unsigned Local = Est.estimate(R.uniformAssign(0));
+  unsigned Local = Est.evaluate(R.uniformAssign(0)).Length;
   std::vector<int> Split = R.uniformAssign(0);
   const BasicBlock &BB = R.F->getEntryBlock();
   Split[static_cast<unsigned>(BB.getOp(BB.size() - 2).getId())] = 1;
   Split[static_cast<unsigned>(BB.getOp(BB.size() - 1).getId())] = 1;
-  EXPECT_GE(Est.estimate(Split), Local + 4);
+  EXPECT_GE(Est.evaluate(Split).Length, Local + 4);
 }
 
 TEST(EstimatorTest, CountMovesDedups) {
@@ -373,7 +373,7 @@ TEST(EstimatorTest, CountMovesDedups) {
   std::vector<int> Assign = R.uniformAssign(1);
   Assign[static_cast<unsigned>(
       R.F->getEntryBlock().getOp(0).getId())] = 0;
-  EXPECT_EQ(Est.countMoves(Assign), 1u);
+  EXPECT_EQ(Est.evaluate(Assign).Moves, 1u);
 }
 
 TEST(EstimatorTest, TracksSchedulerOrdering) {
@@ -383,7 +383,7 @@ TEST(EstimatorTest, TracksSchedulerOrdering) {
   MachineModel MM = MachineModel::makeDefault(2, 10);
   ScheduleEstimator Est(*R.DFG, MM);
   BlockSchedule Real = scheduleBlock(*R.DFG, MM, R.uniformAssign(0));
-  unsigned E = Est.estimate(R.uniformAssign(0));
+  unsigned E = Est.evaluate(R.uniformAssign(0)).Length;
   EXPECT_LE(E, Real.Length + 2);
 }
 
@@ -432,8 +432,9 @@ TEST(EstimatorTest, LowerBoundsRealScheduleAcrossSuite) {
           BlockSchedule BS = scheduleBlock(
               DFG, MM, Res.Assignment.func(static_cast<unsigned>(F->getId())));
           ScheduleEstimator Est(DFG, MM);
-          EXPECT_LE(Est.estimate(Res.Assignment.func(
-                        static_cast<unsigned>(F->getId()))),
+          EXPECT_LE(Est.evaluate(Res.Assignment.func(
+                                     static_cast<unsigned>(F->getId())))
+                        .Length,
                     BS.Length)
               << W.Name << " " << F->getName() << " bb" << Bk << " lat"
               << Lat;

@@ -38,7 +38,7 @@ void usage(std::FILE *Out) {
       "  --max-inflight=N        admission gate: connections served at\n"
       "                          once; more are shed with an overloaded\n"
       "                          status (default 64)\n"
-      "  --cache-cap=N           prepared-program cache entries (default 64)\n"
+      "  --cache-cap=N           prepared-program cache entries (default 32)\n"
       "  --deadline-ms=N         default per-request deadline (0 = none)\n"
       "  --deterministic         zero wall-clock fields in responses\n"
       "  --io-timeout-ms=N       per-frame socket timeout (default 30000)\n"
