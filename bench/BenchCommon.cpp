@@ -22,9 +22,8 @@ namespace {
 
 std::string JsonPath;
 std::vector<std::string> JsonRecords;
-// One record per (benchmark, strategy, latency): google-benchmark timing
-// loops re-evaluate the same configuration thousands of times, and each
-// re-evaluation replaces its record instead of appending.
+// One record per (benchmark, strategy, latency): a re-evaluation of the
+// same configuration replaces its record instead of appending.
 std::map<std::string, size_t> JsonRecordIndex;
 unsigned NumThreads = 0; // 0 = not yet resolved (env default).
 bool DeterministicFlag = false;

@@ -59,7 +59,7 @@ struct EvalTask {
 };
 
 /// Parses and strips the harness-level flags out of argv so the remaining
-/// arguments can go to the binary's own parser (e.g. google-benchmark).
+/// arguments can go to the binary's own parser.
 /// Call it first thing in main(). Recognizes:
 ///   --json=FILE      append one machine-readable record per (benchmark,
 ///                    strategy) evaluation done through run()/runMatrix();

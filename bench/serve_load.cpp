@@ -101,8 +101,7 @@ struct ClientStats {
   uint64_t Ok = 0;
   uint64_t CacheHits = 0;
   std::map<std::string, uint64_t> ByStatus;
-  telemetry::ValueStats LatencyMs;
-  telemetry::LogHistogram LatencyHist;
+  telemetry::LogHistogram LatencyMs;
 };
 
 /// One in-process cluster member: a Server pumping on its own thread.
@@ -523,7 +522,6 @@ int main(int argc, char **argv) {
           if (Body.find("\"cache\": \"hit\"") != std::string::npos)
             ++St.CacheHits;
           St.LatencyMs.add(Ms);
-          St.LatencyHist.add(Ms);
         } else if (!C.connected() && !C.connect(Target, 30000, nullptr))
           return; // Server gone; remaining tickets count as missing.
       }
@@ -582,7 +580,6 @@ int main(int argc, char **argv) {
     for (const auto &[K, V] : St.ByStatus)
       Total.ByStatus[K] += V;
     Total.LatencyMs.merge(St.LatencyMs);
-    Total.LatencyHist.merge(St.LatencyHist);
   }
   uint64_t Answered = 0;
   for (const auto &[K, V] : Total.ByStatus)
@@ -684,10 +681,10 @@ int main(int argc, char **argv) {
     S += "  \"throughput_rpm\": " + jsonDouble(Z(Rps * 60)) + ",\n";
     S += "  \"latency_ms\": {";
     S += "\"mean\": " + jsonDouble(Z(Total.LatencyMs.mean())) + ", ";
-    S += "\"p50\": " + jsonDouble(Z(Total.LatencyHist.quantile(0.5))) + ", ";
-    S += "\"p90\": " + jsonDouble(Z(Total.LatencyHist.quantile(0.9))) + ", ";
-    S += "\"p99\": " + jsonDouble(Z(Total.LatencyHist.quantile(0.99))) + ", ";
-    S += "\"max\": " + jsonDouble(Z(Total.LatencyMs.Max)) + "}\n}\n";
+    S += "\"p50\": " + jsonDouble(Z(Total.LatencyMs.quantile(0.5))) + ", ";
+    S += "\"p90\": " + jsonDouble(Z(Total.LatencyMs.quantile(0.9))) + ", ";
+    S += "\"p99\": " + jsonDouble(Z(Total.LatencyMs.quantile(0.99))) + ", ";
+    S += "\"max\": " + jsonDouble(Z(Total.LatencyMs.max())) + "}\n}\n";
     Exit = Failed == 0 ? 0 : 1;
   }
 
@@ -715,7 +712,7 @@ int main(int argc, char **argv) {
                 static_cast<unsigned long long>(Answered - Total.Ok +
                                                 (Requests - Answered)),
                 jsonDouble(Rps).c_str(), jsonDouble(Rps * 60).c_str(),
-                Total.LatencyHist.quantile(0.5),
-                Total.LatencyHist.quantile(0.99));
+                Total.LatencyMs.quantile(0.5),
+                Total.LatencyMs.quantile(0.99));
   return Exit;
 }

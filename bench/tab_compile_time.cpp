@@ -3,14 +3,13 @@
 // Compile-time comparison (paper §4.5): the detailed computation
 // partitioner dominates compile time; Profile Max runs it twice, GDP and
 // Naive once, so Profile Max should cost roughly 2× GDP. The table reports
-// measured wall-clock partitioning time per strategy over the suite, and a
-// google-benchmark section times the individual partitioning passes.
+// measured wall-clock partitioning time per strategy over the suite and a
+// per-phase breakdown under GDP; bench/compile_speed times the full matrix
+// against a checked-in baseline.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchCommon.h"
-
-#include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
@@ -18,27 +17,11 @@
 using namespace gdp;
 using namespace gdp::bench;
 
-namespace {
-
-const std::vector<SuiteEntry> &suite() {
-  static std::vector<SuiteEntry> Suite = loadSuite();
-  return Suite;
-}
-
-void BM_Strategy(benchmark::State &State, const SuiteEntry *Entry,
-                 StrategyKind Strategy) {
-  for (auto _ : State) {
-    PipelineResult R = run(*Entry, Strategy, 5);
-    benchmark::DoNotOptimize(R.Cycles);
-  }
-}
-
-} // namespace
-
 int main(int argc, char **argv) {
   initBench(argc, argv);
   banner("Section 4.5: compile time of the partitioning strategies",
          "Chu & Mahlke, CGO'06, §4.5");
+  const std::vector<SuiteEntry> Suite = loadSuite();
 
   // --- Aggregate table: partitioning seconds and detailed-partitioner runs.
   TextTable Table({"benchmark", "GDP ms", "ProfileMax ms", "Naive ms",
@@ -52,7 +35,7 @@ int main(int argc, char **argv) {
   // below (EXPERIMENTS.md tracks the speedup over --threads=1).
   auto MatrixStart = std::chrono::steady_clock::now();
   std::vector<EvalTask> Tasks;
-  for (const SuiteEntry &E : suite())
+  for (const SuiteEntry &E : Suite)
     for (StrategyKind K :
          {StrategyKind::GDP, StrategyKind::ProfileMax, StrategyKind::Naive})
       Tasks.push_back({&E, K, 5});
@@ -62,7 +45,7 @@ int main(int argc, char **argv) {
                              .count();
 
   size_t Next = 0;
-  for (const SuiteEntry &E : suite()) {
+  for (const SuiteEntry &E : Suite) {
     PipelineResult G = Results[Next++];
     PipelineResult PM = Results[Next++];
     PipelineResult N = Results[Next++];
@@ -94,20 +77,5 @@ int main(int argc, char **argv) {
   std::printf("Per-phase wall clock under GDP (preparation is shared by all "
               "strategies):\n%s\n",
               Phases.render().c_str());
-
-  // --- google-benchmark timings on representative benchmarks.
-  for (const SuiteEntry &E : suite()) {
-    if (E.Name != "rawcaudio" && E.Name != "mpeg2enc" && E.Name != "fft")
-      continue;
-    for (auto [Kind, Label] :
-         {std::pair{StrategyKind::GDP, "GDP"},
-          std::pair{StrategyKind::ProfileMax, "ProfileMax"},
-          std::pair{StrategyKind::Naive, "Naive"}})
-      benchmark::RegisterBenchmark((E.Name + "/" + Label).c_str(),
-                                   BM_Strategy, &E, Kind)
-          ->Unit(benchmark::kMillisecond);
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -168,6 +168,7 @@ private:
   }
 
   bool parseLine(const std::string &Line);
+  bool parseStatement(LineCursor &C);
   bool parseObject(LineCursor &C);
   bool parseInit(LineCursor &C);
   bool parseFunc(LineCursor &C);
@@ -469,7 +470,13 @@ bool Parser::parseLine(const std::string &Raw) {
     Line = Line.substr(0, Semi);
 
   LineCursor C(Line);
-  Cur = &C; // For error columns; only read while this line is live.
+  Cur = &C; // For error columns; cleared before C goes out of scope.
+  bool Ok = parseStatement(C);
+  Cur = nullptr;
+  return Ok;
+}
+
+bool Parser::parseStatement(LineCursor &C) {
   if (C.atEnd())
     return true;
 
@@ -507,9 +514,7 @@ ParseResult Parser::run(const std::string &Text) {
       End = Text.size();
     ++LineNo;
     std::string Line = Text.substr(Pos, End - Pos);
-    bool LineOk = parseLine(Line);
-    Cur = nullptr;
-    if (!LineOk) {
+    if (!parseLine(Line)) {
       ParseResult R;
       R.Error = Error;
       R.D = D;

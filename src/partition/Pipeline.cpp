@@ -32,7 +32,7 @@ const char *gdp::strategyName(StrategyKind K) {
 
 PreparedProgram gdp::prepareProgram(Program &P, uint64_t MaxSteps,
                                     bool CaptureTrace) {
-  telemetry::ScopedTimer Phase("pipeline.prepare");
+  telemetry::Span Phase("pipeline.prepare");
   auto Start = std::chrono::steady_clock::now();
   PreparedProgram PP;
   PP.P = &P;
@@ -44,7 +44,7 @@ PreparedProgram gdp::prepareProgram(Program &P, uint64_t MaxSteps,
   };
 
   {
-    telemetry::ScopedTimer T("pipeline.prepare.verify");
+    telemetry::Span T("pipeline.prepare.verify");
     VerifyResult VR = verifyProgram(P);
     if (!VR.ok()) {
       PP.Error = "verification failed:\n" + VR.message();
@@ -55,7 +55,7 @@ PreparedProgram gdp::prepareProgram(Program &P, uint64_t MaxSteps,
   }
 
   {
-    telemetry::ScopedTimer T("pipeline.prepare.points_to");
+    telemetry::Span T("pipeline.prepare.points_to");
     unsigned EmptyAccess = annotateMemoryAccesses(P);
     if (EmptyAccess != 0) {
       PP.Error = formatStr(
@@ -72,7 +72,7 @@ PreparedProgram gdp::prepareProgram(Program &P, uint64_t MaxSteps,
   }
 
   {
-    telemetry::ScopedTimer T("pipeline.prepare.profile");
+    telemetry::Span T("pipeline.prepare.profile");
     Interpreter Interp(P);
     if (CaptureTrace) {
       PP.Trace = std::make_shared<ExecTrace>();
@@ -133,7 +133,7 @@ public:
 
 private:
   double &Into;
-  telemetry::ScopedTimer Scope;
+  telemetry::Span Scope;
   Clock::time_point Start;
   bool Stopped = false;
 };

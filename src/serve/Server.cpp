@@ -4,7 +4,6 @@
 
 #include "partition/PreparedCache.h"
 #include "support/FaultInjector.h"
-#include "support/MetricsHub.h"
 #include "support/StrUtil.h"
 
 #include <chrono>
@@ -90,7 +89,7 @@ std::string Server::statsBody(StatsFormat Fmt, Status &S) {
   case StatsFormat::Json:
     return Snap.toJson();
   case StatsFormat::Prometheus:
-    return telemetry::MetricsHub::renderPrometheus(Snap);
+    return Snap.toPrometheus();
   case StatsFormat::Binary:
     return encodeRegistry(Snap);
   }
@@ -293,12 +292,5 @@ int Server::run() {
   }
   for (auto &H : Handlers)
     H.wait();
-
-  // Flush: the cumulative serving registry becomes visible to the
-  // process-wide Prometheus surface exactly once, at exit.
-  Svc.registry().addCounter(Clean ? "serve.drain.clean"
-                                  : "serve.drain.cancelled",
-                            1);
-  telemetry::MetricsHub::global().publish(Svc.registry());
   return Clean ? 0 : 3;
 }

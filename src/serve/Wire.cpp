@@ -258,7 +258,6 @@ std::string gdp::serve::encodeRegistry(const telemetry::StatsRegistry &R) {
   WireWriter W;
   auto Counters = R.counterSnapshot();
   auto Values = R.valueSnapshot();
-  auto Quantiles = R.quantileSnapshot();
   auto Timers = R.timerSnapshot();
   W.u32(static_cast<uint32_t>(Counters.size()));
   for (const auto &[Name, V] : Counters) {
@@ -266,16 +265,11 @@ std::string gdp::serve::encodeRegistry(const telemetry::StatsRegistry &R) {
     W.u64(V);
   }
   W.u32(static_cast<uint32_t>(Values.size()));
-  for (const auto &[Name, V] : Values) {
+  for (const auto &[Name, H] : Values) {
     W.str(Name);
-    W.u64(V.Count);
-    W.f64(V.Sum);
-    W.f64(V.Min);
-    W.f64(V.Max);
-  }
-  W.u32(static_cast<uint32_t>(Quantiles.size()));
-  for (const auto &[Name, H] : Quantiles) {
-    W.str(Name);
+    W.f64(H.sum());
+    W.f64(H.min());
+    W.f64(H.max());
     W.u64(H.underflowCount());
     W.u32(static_cast<uint32_t>(H.buckets().size()));
     for (const auto &[Index, N] : H.buckets()) {
@@ -315,31 +309,22 @@ bool gdp::serve::decodeRegistryInto(const std::string &Blob,
     return Truncated();
   for (uint32_t I = 0; I < N; ++I) {
     std::string Name;
-    telemetry::ValueStats V;
-    if (!R.str(Name) || !R.u64(V.Count) || !R.f64(V.Sum) || !R.f64(V.Min) ||
-        !R.f64(V.Max))
-      return Truncated();
-    Into.mergeValue(Name, V);
-  }
-  if (!R.u32(N))
-    return Truncated();
-  for (uint32_t I = 0; I < N; ++I) {
-    std::string Name;
+    double Sum, Min, Max;
     uint64_t Underflow;
     uint32_t NumBuckets;
-    if (!R.str(Name) || !R.u64(Underflow) || !R.u32(NumBuckets))
+    if (!R.str(Name) || !R.f64(Sum) || !R.f64(Min) || !R.f64(Max) ||
+        !R.u64(Underflow) || !R.u32(NumBuckets))
       return Truncated();
-    telemetry::LogHistogram H;
-    if (Underflow)
-      H.addUnderflow(Underflow);
+    std::map<int32_t, uint64_t> Buckets;
     for (uint32_t B = 0; B < NumBuckets; ++B) {
       uint32_t Index;
       uint64_t Count;
       if (!R.u32(Index) || !R.u64(Count))
         return Truncated();
-      H.addBucket(static_cast<int32_t>(Index), Count);
+      Buckets[static_cast<int32_t>(Index)] += Count;
     }
-    Into.mergeQuantile(Name, H);
+    Into.mergeValue(Name, telemetry::LogHistogram::fromParts(
+                              Sum, Min, Max, Underflow, std::move(Buckets)));
   }
   if (!R.u32(N))
     return Truncated();

@@ -189,9 +189,11 @@ enum class StatsFormat : uint8_t {
   Binary = 2, ///< Binary StatsRegistry snapshot (coordinator merge path).
 };
 
-/// Serializes a full registry snapshot (counters, value summaries,
-/// quantile histogram buckets, timers). The decode+mergeInto round trip
-/// is exact: quantiles merge bucket-by-bucket, so a coordinator's merged
+/// Serializes a full registry snapshot: counters, each value series once
+/// (sum, min, max, underflow and quantile buckets; the count is implied),
+/// and timers. Shards and coordinators are built together, so the layout
+/// is internal to one build. The decode+mergeInto round trip is exact:
+/// quantiles merge bucket-by-bucket, so a coordinator's merged
 /// p50/p90/p99 equal a single process having observed every sample.
 std::string encodeRegistry(const telemetry::StatsRegistry &R);
 

@@ -102,7 +102,7 @@ SimResult gdp::simulateTrace(const Program &P, const ExecTrace &Trace,
                              const MachineModel &MM,
                              const ClusterAssignment &CA,
                              const DataPlacement &Placement) {
-  telemetry::ScopedTimer Timer("sim.run");
+  telemetry::Span Timer("sim.run");
   SimResult R;
   unsigned NumClusters = MM.getNumClusters();
   unsigned MoveLat = MM.getMoveLatency();

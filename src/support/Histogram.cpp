@@ -32,25 +32,3 @@ double Stats::geomean() const {
   assert(!AnyNonPositive && "geomean requires positive samples");
   return std::exp(LogSum / static_cast<double>(Count));
 }
-
-Histogram::Histogram(double LoIn, double HiIn, unsigned NumBuckets)
-    : Lo(LoIn), Hi(HiIn), Buckets(NumBuckets, 0) {
-  assert(NumBuckets > 0 && "histogram needs at least one bucket");
-  assert(LoIn < HiIn && "histogram range must be nonempty");
-}
-
-void Histogram::add(double X) {
-  double Frac = (X - Lo) / (Hi - Lo);
-  long Index = static_cast<long>(Frac * numBuckets());
-  if (Index < 0)
-    Index = 0;
-  if (Index >= static_cast<long>(numBuckets()))
-    Index = numBuckets() - 1;
-  ++Buckets[static_cast<size_t>(Index)];
-  ++Total;
-}
-
-double Histogram::bucketLo(unsigned I) const {
-  assert(I < numBuckets() && "bucket index out of range");
-  return Lo + (Hi - Lo) * I / numBuckets();
-}

@@ -7,8 +7,9 @@
 /// \file
 /// A streaming statistics accumulator (count / mean / min / max / geomean)
 /// used by the benchmark harness to summarize per-benchmark series the way
-/// the paper reports averages, plus the telemetry subsystem's
-/// log-bucketed quantile histogram (LogHistogram below).
+/// the paper reports averages, plus the telemetry subsystem's value series
+/// (LogHistogram below): exact count/sum/min/max with log-bucketed
+/// quantiles, the one type every recorded value series is stored as.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +19,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
-#include <vector>
+#include <utility>
 
 namespace gdp {
 
@@ -45,42 +46,23 @@ private:
   double Max = 0;
 };
 
-/// Fixed-bucket histogram over [Lo, Hi) used by the exhaustive-search bench
-/// to characterize the distribution of partition qualities.
-class Histogram {
-public:
-  Histogram(double Lo, double Hi, unsigned NumBuckets);
-
-  /// Adds a sample; out-of-range samples clamp to the first/last bucket.
-  void add(double X);
-
-  unsigned numBuckets() const { return static_cast<unsigned>(Buckets.size()); }
-  uint64_t bucketCount(unsigned I) const { return Buckets[I]; }
-  /// Inclusive lower edge of bucket \p I.
-  double bucketLo(unsigned I) const;
-  uint64_t totalCount() const { return Total; }
-
-private:
-  double Lo, Hi;
-  std::vector<uint64_t> Buckets;
-  uint64_t Total = 0;
-};
-
 namespace telemetry {
 
-/// HDR-style log-bucketed histogram: each power-of-two octave is split
-/// into `SubBucketsPerOctave` equal-width sub-buckets, so a sample lands
-/// in a bucket whose width is at most 1/SubBucketsPerOctave of its
-/// magnitude (≤ 12.5% relative error at 8 sub-buckets). Bucketing is a
-/// pure function of the sample's bits (frexp), so two histograms built
-/// from the same multiset of samples — in any order, on any thread split —
-/// have identical buckets, and merging is exact bucket-count addition.
+/// One value series: its exact count, sum, min and max, plus HDR-style log
+/// buckets for quantiles. Each power-of-two octave is split into
+/// `SubBucketsPerOctave` equal-width sub-buckets, so a sample lands in a
+/// bucket whose width is at most 1/SubBucketsPerOctave of its magnitude
+/// (≤ 12.5% relative error at 8 sub-buckets). Bucketing is a pure function
+/// of the sample's bits (frexp), so two series built from the same
+/// multiset of samples — in any order, on any thread split — have
+/// identical buckets, and merging is exact bucket-count addition.
 /// Quantiles report the upper edge of the bucket holding the requested
 /// rank, which makes p50/p90/p99 deterministic and mergeable.
 ///
-/// Samples that are zero, negative or non-finite carry no magnitude to
-/// bucket; they count toward `underflowCount()` and rank below every
-/// bucket (quantile reports 0 for them).
+/// Every sample counts toward sum, min and max. Samples that are zero,
+/// negative or non-finite carry no magnitude to bucket; they count toward
+/// `underflowCount()` and rank below every bucket (quantile reports 0 for
+/// them).
 class LogHistogram {
 public:
   static constexpr int SubBucketsPerOctave = 8;
@@ -106,8 +88,37 @@ public:
                       Oct);
   }
 
+  /// Rebuilds a series from its fields — the decoding half of the serving
+  /// layer's binary stats codec (serve/Wire.h). The count is the underflow
+  /// plus the bucket counts, so a round trip through (sum(), min(), max(),
+  /// underflowCount(), buckets()) is exact and cross-process merges stay
+  /// exact too.
+  static LogHistogram fromParts(double Sum, double Min, double Max,
+                                uint64_t Underflow,
+                                std::map<int32_t, uint64_t> Buckets) {
+    LogHistogram H;
+    H.Sum = Sum;
+    H.Min = Min;
+    H.Max = Max;
+    H.Underflow = H.Total = Underflow;
+    for (const auto &[Index, N] : Buckets)
+      H.Total += N;
+    H.Buckets = std::move(Buckets);
+    return H;
+  }
+
+  /// Adds \p N samples of value \p V.
   void add(double V, uint64_t N = 1) {
+    if (Total == 0) {
+      Min = Max = V;
+    } else {
+      if (V < Min)
+        Min = V;
+      if (V > Max)
+        Max = V;
+    }
     Total += N;
+    Sum += V * static_cast<double>(N);
     if (!(V > 0) || !std::isfinite(V)) {
       Underflow += N;
       return;
@@ -115,31 +126,30 @@ public:
     Buckets[bucketIndex(V)] += N;
   }
 
-  /// Adds \p N samples directly into bucket \p Index — the decoding half
-  /// of the serving layer's binary stats codec (serve/Wire.h). Exact:
-  /// round-tripping a histogram through (buckets(), addBucket) preserves
-  /// every bucket count, so cross-process merges stay exact too.
-  void addBucket(int32_t Index, uint64_t N) {
-    Total += N;
-    Buckets[Index] += N;
-  }
-
-  /// Adds \p N underflow samples (zero/negative/non-finite); the codec's
-  /// counterpart of underflowCount().
-  void addUnderflow(uint64_t N) {
-    Total += N;
-    Underflow += N;
-  }
-
-  /// Exact merge: bucket counts add up, order-independent.
+  /// Exact, order-independent merge: counts and sums add, extremes widen.
   void merge(const LogHistogram &O) {
+    if (O.Total == 0)
+      return;
+    if (Total == 0) {
+      *this = O;
+      return;
+    }
     Total += O.Total;
+    Sum += O.Sum;
+    if (O.Min < Min)
+      Min = O.Min;
+    if (O.Max > Max)
+      Max = O.Max;
     Underflow += O.Underflow;
     for (const auto &[Index, N] : O.Buckets)
       Buckets[Index] += N;
   }
 
   uint64_t count() const { return Total; }
+  double sum() const { return Sum; }
+  double min() const { return Min; }
+  double max() const { return Max; }
+  double mean() const { return Total ? Sum / static_cast<double>(Total) : 0; }
   uint64_t underflowCount() const { return Underflow; }
   const std::map<int32_t, uint64_t> &buckets() const { return Buckets; }
 
@@ -167,6 +177,9 @@ private:
   std::map<int32_t, uint64_t> Buckets;
   uint64_t Underflow = 0;
   uint64_t Total = 0;
+  double Sum = 0;
+  double Min = 0;
+  double Max = 0;
 };
 
 } // namespace telemetry

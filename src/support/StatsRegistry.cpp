@@ -17,7 +17,6 @@ void StatsRegistry::addCounter(const std::string &Name, uint64_t Delta) {
 void StatsRegistry::recordValue(const std::string &Name, double Value) {
   std::lock_guard<std::mutex> Lock(Mu);
   Values[Name].add(Value);
-  Quantiles[Name].add(Value);
 }
 
 void StatsRegistry::addTime(const std::string &Name, double Seconds) {
@@ -37,23 +36,16 @@ double StatsRegistry::getTime(const std::string &Name) const {
   return It == Timers.end() ? 0 : It->second;
 }
 
-ValueStats StatsRegistry::getValue(const std::string &Name) const {
+LogHistogram StatsRegistry::getValue(const std::string &Name) const {
   std::lock_guard<std::mutex> Lock(Mu);
   auto It = Values.find(Name);
-  return It == Values.end() ? ValueStats() : It->second;
-}
-
-LogHistogram StatsRegistry::getQuantileHistogram(
-    const std::string &Name) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Quantiles.find(Name);
-  return It == Quantiles.end() ? LogHistogram() : It->second;
+  return It == Values.end() ? LogHistogram() : It->second;
 }
 
 double StatsRegistry::quantile(const std::string &Name, double Q) const {
   std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Quantiles.find(Name);
-  return It == Quantiles.end() ? 0 : It->second.quantile(Q);
+  auto It = Values.find(Name);
+  return It == Values.end() ? 0 : It->second.quantile(Q);
 }
 
 size_t StatsRegistry::numCounters() const {
@@ -71,28 +63,21 @@ std::map<std::string, double> StatsRegistry::timerSnapshot() const {
   return Timers;
 }
 
-std::map<std::string, ValueStats> StatsRegistry::valueSnapshot() const {
+std::map<std::string, LogHistogram> StatsRegistry::valueSnapshot() const {
   std::lock_guard<std::mutex> Lock(Mu);
   return Values;
-}
-
-std::map<std::string, LogHistogram> StatsRegistry::quantileSnapshot() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Quantiles;
 }
 
 void StatsRegistry::mergeFrom(const StatsRegistry &O) {
   // Copy the source under its own lock first; locking both would risk
   // deadlock if two registries merged into each other concurrently.
   std::map<std::string, uint64_t> OC;
-  std::map<std::string, ValueStats> OV;
-  std::map<std::string, LogHistogram> OQ;
+  std::map<std::string, LogHistogram> OV;
   std::map<std::string, double> OT;
   {
     std::lock_guard<std::mutex> Lock(O.Mu);
     OC = O.Counters;
     OV = O.Values;
-    OQ = O.Quantiles;
     OT = O.Timers;
   }
   std::lock_guard<std::mutex> Lock(Mu);
@@ -100,29 +85,20 @@ void StatsRegistry::mergeFrom(const StatsRegistry &O) {
     Counters[Name] += V;
   for (const auto &[Name, V] : OV)
     Values[Name].merge(V);
-  for (const auto &[Name, V] : OQ)
-    Quantiles[Name].merge(V);
   for (const auto &[Name, V] : OT)
     Timers[Name] += V;
 }
 
 void StatsRegistry::mergeValue(const std::string &Name,
-                               const ValueStats &V) {
+                               const LogHistogram &V) {
   std::lock_guard<std::mutex> Lock(Mu);
   Values[Name].merge(V);
-}
-
-void StatsRegistry::mergeQuantile(const std::string &Name,
-                                  const LogHistogram &H) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  Quantiles[Name].merge(H);
 }
 
 void StatsRegistry::reset() {
   std::lock_guard<std::mutex> Lock(Mu);
   Counters.clear();
   Values.clear();
-  Quantiles.clear();
   Timers.clear();
 }
 
@@ -160,12 +136,12 @@ std::string jsonEscape(const std::string &S) {
   return Out;
 }
 
-std::string jsonNumber(double V) {
+/// Round-trippable number; non-finite values render as 0 in both JSON and
+/// Prometheus output.
+std::string number(double V) {
   if (!std::isfinite(V))
     return "0";
-  // Round-trippable and compact; trailing-zero trimming keeps files tidy.
-  std::string S = formatStr("%.17g", V);
-  return S;
+  return formatStr("%.17g", V);
 }
 
 } // namespace
@@ -187,22 +163,21 @@ std::string StatsRegistry::toJson() const {
     Out += formatStr(
         "    \"%s\": {\"count\": %llu, \"sum\": %s, \"min\": %s, "
         "\"max\": %s, \"mean\": %s}",
-        jsonEscape(Name).c_str(), static_cast<unsigned long long>(V.Count),
-        jsonNumber(V.Sum).c_str(), jsonNumber(V.Min).c_str(),
-        jsonNumber(V.Max).c_str(), jsonNumber(V.mean()).c_str());
+        jsonEscape(Name).c_str(), static_cast<unsigned long long>(V.count()),
+        number(V.sum()).c_str(), number(V.min()).c_str(),
+        number(V.max()).c_str(), number(V.mean()).c_str());
     First = false;
   }
   Out += "\n  },\n  \"quantiles\": {";
   First = true;
-  for (const auto &[Name, V] : Quantiles) {
+  for (const auto &[Name, V] : Values) {
     Out += First ? "\n" : ",\n";
     Out += formatStr(
         "    \"%s\": {\"count\": %llu, \"p50\": %s, \"p90\": %s, "
         "\"p99\": %s}",
         jsonEscape(Name).c_str(), static_cast<unsigned long long>(V.count()),
-        jsonNumber(V.quantile(0.5)).c_str(),
-        jsonNumber(V.quantile(0.9)).c_str(),
-        jsonNumber(V.quantile(0.99)).c_str());
+        number(V.quantile(0.5)).c_str(), number(V.quantile(0.9)).c_str(),
+        number(V.quantile(0.99)).c_str());
     First = false;
   }
   Out += "\n  },\n  \"timers_sec\": {";
@@ -210,9 +185,46 @@ std::string StatsRegistry::toJson() const {
   for (const auto &[Name, V] : Timers) {
     Out += First ? "\n" : ",\n";
     Out += formatStr("    \"%s\": %s", jsonEscape(Name).c_str(),
-                     jsonNumber(V).c_str());
+                     number(V).c_str());
     First = false;
   }
   Out += "\n  }\n}\n";
+  return Out;
+}
+
+std::string StatsRegistry::prometheusName(const std::string &Name) {
+  std::string Out = "gdp_";
+  for (char C : Name) {
+    bool Ok = (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') ||
+              (C >= '0' && C <= '9') || C == '_' || C == ':';
+    Out += Ok ? C : '_';
+  }
+  return Out;
+}
+
+std::string StatsRegistry::toPrometheus(bool IncludeTimers) const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  std::string Out;
+  for (const auto &[Name, V] : Counters) {
+    std::string M = prometheusName(Name);
+    Out += formatStr("# TYPE %s counter\n%s %llu\n", M.c_str(), M.c_str(),
+                     static_cast<unsigned long long>(V));
+  }
+  for (const auto &[Name, V] : Values) {
+    std::string M = prometheusName(Name);
+    Out += formatStr("# TYPE %s summary\n", M.c_str());
+    for (double Q : {0.5, 0.9, 0.99})
+      Out += formatStr("%s{quantile=\"%g\"} %s\n", M.c_str(), Q,
+                       number(V.quantile(Q)).c_str());
+    Out += formatStr("%s_sum %s\n%s_count %llu\n", M.c_str(),
+                     number(V.sum()).c_str(), M.c_str(),
+                     static_cast<unsigned long long>(V.count()));
+  }
+  if (IncludeTimers)
+    for (const auto &[Name, V] : Timers) {
+      std::string M = prometheusName(Name) + "_seconds";
+      Out += formatStr("# TYPE %s counter\n%s %s\n", M.c_str(), M.c_str(),
+                       number(V).c_str());
+    }
   return Out;
 }

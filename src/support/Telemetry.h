@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The `gdp::telemetry` subsystem's entry point. A TelemetrySession bundles
-/// a StatsRegistry (counters, value histograms, quantile histograms, phase
-/// timers) with a TraceRecorder (Chrome trace_event log). Instrumented
+/// a StatsRegistry (counters, value series with quantiles, phase timers)
+/// with a TraceRecorder (Chrome trace_event log). Instrumented
 /// code talks to the *installed* session through free helpers that compile
 /// to a single branch-on-null when no session is attached:
 ///
@@ -247,10 +247,6 @@ private:
   uint64_t Parent = 0;
   std::vector<TraceArg> Args;
 };
-
-/// Historical name for a plain span: every phase timer is a span now, so
-/// nested timers show their parentage in the trace.
-using ScopedTimer = Span;
 
 } // namespace telemetry
 } // namespace gdp

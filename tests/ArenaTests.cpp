@@ -198,9 +198,9 @@ TEST(ScratchArenaTest, PublishedHighWaterIsScopeRelative) {
     Small.arena().allocate(100, 8);
     Small.arena().allocate(28, 4);
   }
-  telemetry::ValueStats High = S.stats().getValue("arena.high_water_bytes");
-  EXPECT_EQ(High.Count, 1u);
-  EXPECT_EQ(High.Max, 128.0);
+  telemetry::LogHistogram High = S.stats().getValue("arena.high_water_bytes");
+  EXPECT_EQ(High.count(), 1u);
+  EXPECT_EQ(High.max(), 128.0);
   EXPECT_EQ(S.stats().getCounter("arena.bytes_allocated"), 128u);
   EXPECT_EQ(S.stats().getCounter("arena.resets"), 1u);
 }

@@ -14,7 +14,6 @@
 #include "bench/BenchCommon.h"
 #include "partition/Exhaustive.h"
 #include "partition/Pipeline.h"
-#include "support/MetricsHub.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 #include "workloads/Workloads.h"
@@ -201,8 +200,8 @@ TEST(Determinism, CutWeightIdenticalAtEveryThreadCount) {
       PipelineOptions Opt;
       Opt.Strategy = StrategyKind::GDP;
       runStrategy(E->PP, Opt);
-      telemetry::ValueStats V = S.stats().getValue("gdp.cut_weight");
-      return std::pair<uint64_t, double>(V.Count, V.Sum);
+      telemetry::LogHistogram V = S.stats().getValue("gdp.cut_weight");
+      return std::pair<uint64_t, double>(V.count(), V.sum());
     });
   };
   auto Baseline = CutWeights(1);
@@ -272,10 +271,9 @@ TEST(Determinism, QuantileAndPrometheusIdenticalAtEveryThreadCount) {
     for (const auto &S : Shards)
       Main.mergeFrom(*S);
     // Quantile values per metric plus the full deterministic exposition.
-    std::string Prom = telemetry::MetricsHub::renderPrometheus(
-        Main.stats(), /*IncludeTimers=*/false);
+    std::string Prom = Main.stats().toPrometheus(/*IncludeTimers=*/false);
     std::map<std::string, std::vector<double>> Qs;
-    for (const auto &[Name, H] : Main.stats().quantileSnapshot())
+    for (const auto &[Name, H] : Main.stats().valueSnapshot())
       for (double Q : {0.5, 0.9, 0.99})
         Qs[Name].push_back(H.quantile(Q));
     return std::pair(Prom, Qs);

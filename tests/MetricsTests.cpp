@@ -1,15 +1,13 @@
-//===- tests/MetricsTests.cpp - Quantile histogram & hub tests --------------===//
+//===- tests/MetricsTests.cpp - Quantile histogram & Prometheus tests -------===//
 //
-// Covers the deterministic quantile layer added on top of the stats
-// registry: LogHistogram bucketing/merge/quantile semantics, the
-// registry's quantile snapshot and JSON section, the process-wide
-// MetricsHub aggregation, and the Prometheus text-exposition renderer
-// (including a byte-exact golden for the deterministic part).
+// Covers the deterministic quantile layer of the stats registry:
+// LogHistogram bucketing/merge/quantile semantics, the registry's value
+// series and JSON section, and the registry's Prometheus text-exposition
+// renderer (including a byte-exact golden for the deterministic part).
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/MetricsHub.h"
-#include "support/Telemetry.h"
+#include "support/StatsRegistry.h"
 
 #include "TestJson.h"
 
@@ -118,11 +116,11 @@ TEST(StatsRegistry, QuantilesTrackEveryValueSeries) {
   StatsRegistry R;
   for (double X : {1.0, 2.0, 4.0, 8.0})
     R.recordValue("v", X);
-  EXPECT_EQ(R.getQuantileHistogram("v").count(), 4u);
+  EXPECT_EQ(R.getValue("v").count(), 4u);
   EXPECT_GE(R.quantile("v", 0.5), 2.0);
   EXPECT_LE(R.quantile("v", 0.5), 2.0 * 1.125);
   // Untouched series: empty histogram, quantile 0.
-  EXPECT_EQ(R.getQuantileHistogram("nope").count(), 0u);
+  EXPECT_EQ(R.getValue("nope").count(), 0u);
   EXPECT_EQ(R.quantile("nope", 0.9), 0.0);
 }
 
@@ -147,56 +145,26 @@ TEST(StatsRegistry, MergePropagatesQuantiles) {
   B.recordValue("v", 100.0);
   B.recordValue("only_b", 2.0);
   A.mergeFrom(B);
-  EXPECT_EQ(A.getQuantileHistogram("v").count(), 2u);
-  EXPECT_EQ(A.getQuantileHistogram("only_b").count(), 1u);
+  EXPECT_EQ(A.getValue("v").count(), 2u);
+  EXPECT_EQ(A.getValue("only_b").count(), 1u);
   EXPECT_GE(A.quantile("v", 1.0), 100.0);
 }
 
-TEST(MetricsHub, PublishAggregatesSessions) {
-  MetricsHub Hub;
-  TelemetrySession S1, S2;
-  S1.stats().addCounter("runs", 1);
-  S1.stats().recordValue("v", 2.0);
-  S2.stats().addCounter("runs", 2);
-  S2.stats().recordValue("v", 8.0);
-  Hub.publish(S1);
-  Hub.publish(S2);
-  EXPECT_EQ(Hub.sessionsPublished(), 2u);
-  EXPECT_EQ(Hub.aggregate().getCounter("runs"), 3u);
-  EXPECT_EQ(Hub.aggregate().getValue("v").Count, 2u);
-  // The hub's quantiles are the same numbers one giant session would give.
-  StatsRegistry Giant;
-  Giant.recordValue("v", 2.0);
-  Giant.recordValue("v", 8.0);
-  for (double Q : {0.5, 0.9, 0.99})
-    EXPECT_EQ(Hub.aggregate().quantile("v", Q), Giant.quantile("v", Q));
-
-  testjson::JVal Doc;
-  std::string Err;
-  ASSERT_TRUE(testjson::parse(Hub.toJson(), Doc, Err)) << Err;
-  EXPECT_EQ(Doc["sessions_published"].Num, 2);
-  EXPECT_EQ(Doc["counters"]["runs"].Num, 3);
-
-  Hub.reset();
-  EXPECT_EQ(Hub.sessionsPublished(), 0u);
-  EXPECT_EQ(Hub.aggregate().getCounter("runs"), 0u);
-}
-
 TEST(MetricsHub, PrometheusNameSanitization) {
-  EXPECT_EQ(MetricsHub::prometheusName("rhop.moves"), "gdp_rhop_moves");
-  EXPECT_EQ(MetricsHub::prometheusName("a-b c\"d"), "gdp_a_b_c_d");
-  EXPECT_EQ(MetricsHub::prometheusName("ok_name:sub"), "gdp_ok_name:sub");
-  EXPECT_EQ(MetricsHub::prometheusName(""), "gdp_");
+  EXPECT_EQ(StatsRegistry::prometheusName("rhop.moves"), "gdp_rhop_moves");
+  EXPECT_EQ(StatsRegistry::prometheusName("a-b c\"d"), "gdp_a_b_c_d");
+  EXPECT_EQ(StatsRegistry::prometheusName("ok_name:sub"), "gdp_ok_name:sub");
+  EXPECT_EQ(StatsRegistry::prometheusName(""), "gdp_");
 }
 
 TEST(MetricsHub, PrometheusGolden) {
   // Byte-exact golden of the deterministic exposition (timers excluded):
-  // the surface gdpd --stats will serve, so the format is pinned.
+  // the surface gdpd's prometheus stats format serves, so it is pinned.
   StatsRegistry R;
   R.addCounter("rhop.moves", 42);
   R.recordValue("sched.len", 1.0); // bucket edge 1.125
   R.addTime("wall", 0.25);         // must not appear with IncludeTimers=false
-  std::string Got = MetricsHub::renderPrometheus(R, /*IncludeTimers=*/false);
+  std::string Got = R.toPrometheus(/*IncludeTimers=*/false);
   const char *Want = "# TYPE gdp_rhop_moves counter\n"
                      "gdp_rhop_moves 42\n"
                      "# TYPE gdp_sched_len summary\n"
@@ -207,45 +175,9 @@ TEST(MetricsHub, PrometheusGolden) {
                      "gdp_sched_len_count 1\n";
   EXPECT_EQ(Got, Want);
   // With timers the wall clock shows up as a _seconds counter.
-  std::string WithTimers = MetricsHub::renderPrometheus(R);
+  std::string WithTimers = R.toPrometheus();
   EXPECT_NE(WithTimers.find("# TYPE gdp_wall_seconds counter\n"
                             "gdp_wall_seconds 0.25\n"),
-            std::string::npos);
-}
-
-TEST(MetricsHub, GlobalHubAccumulatesAcrossPublishes) {
-  // The process-wide hub used by gdptool's TelemetryExport. Reset first:
-  // other tests (and tool runs in-process) may have touched it.
-  MetricsHub::global().reset();
-  StatsRegistry R;
-  R.addCounter("c", 5);
-  MetricsHub::global().publish(R);
-  EXPECT_EQ(MetricsHub::global().sessionsPublished(), 1u);
-  std::string Prom = MetricsHub::global().toPrometheus();
-  EXPECT_NE(Prom.find("gdp_sessions_published_total 1\n"),
-            std::string::npos);
-  EXPECT_NE(Prom.find("gdp_c 5\n"), std::string::npos);
-  MetricsHub::global().reset();
-}
-
-TEST(MetricsHub, GaugesRenderCurrentValueNotHistory) {
-  // Process gauges (serve.breaker.open_shards, ...) are live values: the
-  // last setGauge wins, renders with a gauge TYPE line, and reset()
-  // clears them with everything else.
-  MetricsHub::global().reset();
-  MetricsHub::global().setGauge("serve.breaker.open_shards", 2);
-  MetricsHub::global().setGauge("serve.breaker.open_shards", 1);
-  EXPECT_EQ(MetricsHub::global().gauge("serve.breaker.open_shards"), 1);
-  EXPECT_EQ(MetricsHub::global().gauge("no.such.gauge"), 0);
-  std::string Prom = MetricsHub::global().toPrometheus();
-  EXPECT_NE(Prom.find("# TYPE gdp_serve_breaker_open_shards gauge\n"
-                      "gdp_serve_breaker_open_shards 1\n"),
-            std::string::npos)
-      << Prom;
-  MetricsHub::global().reset();
-  EXPECT_EQ(MetricsHub::global().gauge("serve.breaker.open_shards"), 0);
-  EXPECT_EQ(MetricsHub::global().toPrometheus().find(
-                "gdp_serve_breaker_open_shards"),
             std::string::npos);
 }
 

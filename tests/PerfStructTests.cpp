@@ -343,7 +343,7 @@ TEST(PreparedCacheTest, LruEvictsLeastRecentlyUsedFirst) {
   EXPECT_EQ(S.stats().getCounter("prepared_cache.evictions"), 2u);
   EXPECT_EQ(S.stats().getCounter("prepared_cache.misses"), 4u);
   EXPECT_EQ(S.stats().getCounter("prepared_cache.hits"), 2u);
-  EXPECT_DOUBLE_EQ(S.stats().getValue("prepared_cache.resident").Max, 2.0);
+  EXPECT_DOUBLE_EQ(S.stats().getValue("prepared_cache.resident").max(), 2.0);
 }
 
 TEST(PreparedCacheTest, SetCapacityEvictsDownImmediately) {

@@ -21,9 +21,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <thread>
+#include <utility>
+#include <vector>
 
 using namespace gdp;
 using namespace gdp::serve;
@@ -163,8 +166,8 @@ TEST(ServeWire, RegistryCodecRoundTripIsExact) {
   ASSERT_TRUE(decodeRegistryInto(encodeRegistry(R), Back, D));
   EXPECT_EQ(Back.getCounter("c.one"), 7u);
   EXPECT_DOUBLE_EQ(Back.getTime("t.one"), 1.5);
-  EXPECT_EQ(Back.getValue("v.lat").Count, 100u);
-  EXPECT_DOUBLE_EQ(Back.getValue("v.lat").Sum, R.getValue("v.lat").Sum);
+  EXPECT_EQ(Back.getValue("v.lat").count(), 100u);
+  EXPECT_DOUBLE_EQ(Back.getValue("v.lat").sum(), R.getValue("v.lat").sum());
   // The quantile merge is bucket-exact, so quantiles agree exactly.
   EXPECT_DOUBLE_EQ(Back.quantile("v.lat", 0.5), R.quantile("v.lat", 0.5));
   EXPECT_DOUBLE_EQ(Back.quantile("v.lat", 0.99), R.quantile("v.lat", 0.99));
@@ -186,9 +189,39 @@ TEST(ServeWire, RegistryMergeEqualsUnionOfSamples) {
   support::Diag D;
   ASSERT_TRUE(decodeRegistryInto(encodeRegistry(A), Merged, D));
   ASSERT_TRUE(decodeRegistryInto(encodeRegistry(B), Merged, D));
-  EXPECT_EQ(Merged.getValue("lat").Count, 200u);
+  EXPECT_EQ(Merged.getValue("lat").count(), 200u);
   for (double Q : {0.5, 0.9, 0.99})
     EXPECT_DOUBLE_EQ(Merged.quantile("lat", Q), Whole.quantile("lat", Q));
+}
+
+TEST(ServeWire, RegistryCodecKeepsUnderflowSamples) {
+  // Zero, negative and NaN samples count toward sum/min/max but land in
+  // the underflow, not a bucket. Decoding a snapshot twice must render
+  // exactly like one registry that recorded every sample twice itself.
+  const double NaN = std::nan("");
+  const std::pair<const char *, std::vector<double>> Series[] = {
+      {"mixed", {0.0, 3.0, -2.5, 0.75, -0.0, 8.0}},
+      {"nan.first", {NaN, 4.0, -1.0}},
+      {"nan.mid", {2.0, NaN, -1.0}}};
+  auto Record = [&](telemetry::StatsRegistry &R) {
+    R.addCounter("c", 2);
+    R.addTime("t", 0.5);
+    for (const auto &[Name, Xs] : Series)
+      for (double X : Xs)
+        R.recordValue(Name, X);
+  };
+  telemetry::StatsRegistry Src, Direct, Merged;
+  Record(Src);
+  Record(Direct);
+  Record(Direct);
+  support::Diag D;
+  std::string Blob = encodeRegistry(Src);
+  ASSERT_TRUE(decodeRegistryInto(Blob, Merged, D)) << D.render();
+  ASSERT_TRUE(decodeRegistryInto(Blob, Merged, D)) << D.render();
+  EXPECT_EQ(Merged.getValue("mixed").underflowCount(), 6u);
+  EXPECT_EQ(Merged.getValue("nan.mid").min(), -1.0);
+  EXPECT_EQ(Merged.toJson(), Direct.toJson());
+  EXPECT_EQ(Merged.toPrometheus(), Direct.toPrometheus());
 }
 
 TEST(ServeWire, DecodeRegistryRejectsGarbage) {
@@ -304,10 +337,10 @@ TEST(ServeServer, PartitionWorkloadAndCacheAttribution) {
   ASSERT_EQ(C.partition(Req, Body), Status::Ok);
   EXPECT_NE(Body.find("\"cache\": \"hit\""), std::string::npos) << Body;
   EXPECT_EQ(
-      S.Svc->registry().getValue("serve.latency_ms.partition.hit").Count,
+      S.Svc->registry().getValue("serve.latency_ms.partition.hit").count(),
       1u);
   EXPECT_EQ(
-      S.Svc->registry().getValue("serve.latency_ms.partition.miss").Count,
+      S.Svc->registry().getValue("serve.latency_ms.partition.miss").count(),
       1u);
   EXPECT_EQ(S.stop(), 0);
 }
@@ -666,7 +699,7 @@ TEST(ServeCoordinator, RoutesAndMergesStatsExactly) {
   EXPECT_EQ(Merged.getCounter("coord.shard.0.reports"), 1u);
   EXPECT_EQ(Merged.getCounter("coord.shard.1.reports"), 1u);
   EXPECT_EQ(
-      Merged.getValue("serve.latency_ms.partition").Count,
+      Merged.getValue("serve.latency_ms.partition").count(),
       8u);
 
   EXPECT_EQ(CL.Coord.stop(), 0);
@@ -852,7 +885,7 @@ TEST(ServeFailover, ReplicaChainMasksDeadShard) {
   S1.reset(); // The owner dies; replica (shard 2) must take over.
   EXPECT_EQ(C.partition(Req, Body), Status::Ok) << Body;
   EXPECT_GE(CB.localStats().getCounter("serve.failover.total"), 1u);
-  EXPECT_GE(CB.localStats().getValue("serve.failover.latency_ms").Count, 1u);
+  EXPECT_GE(CB.localStats().getValue("serve.failover.latency_ms").count(), 1u);
 }
 
 TEST(ServeFailover, BreakerOpensThenRecoversAfterRestart) {

@@ -83,18 +83,18 @@ TEST(StatsRegistry, ValueStatsTrackExtremes) {
   StatsRegistry R;
   for (double X : {3.0, -1.0, 10.0, 4.0})
     R.recordValue("v", X);
-  ValueStats V = R.getValue("v");
-  EXPECT_EQ(V.Count, 4u);
-  EXPECT_DOUBLE_EQ(V.Sum, 16.0);
-  EXPECT_DOUBLE_EQ(V.Min, -1.0);
-  EXPECT_DOUBLE_EQ(V.Max, 10.0);
+  LogHistogram V = R.getValue("v");
+  EXPECT_EQ(V.count(), 4u);
+  EXPECT_DOUBLE_EQ(V.sum(), 16.0);
+  EXPECT_DOUBLE_EQ(V.min(), -1.0);
+  EXPECT_DOUBLE_EQ(V.max(), 10.0);
   EXPECT_DOUBLE_EQ(V.mean(), 4.0);
 }
 
 TEST(StatsRegistry, HistogramMergeMatchesSequentialAdds) {
   // Merging two partial series must equal adding every sample to one
   // series, in any order.
-  ValueStats A, B, All;
+  LogHistogram A, B, All;
   for (double X : {5.0, 1.0, 9.0}) {
     A.add(X);
     All.add(X);
@@ -103,21 +103,24 @@ TEST(StatsRegistry, HistogramMergeMatchesSequentialAdds) {
     B.add(X);
     All.add(X);
   }
-  ValueStats Merged = A;
+  LogHistogram Merged = A;
   Merged.merge(B);
-  EXPECT_EQ(Merged.Count, All.Count);
-  EXPECT_DOUBLE_EQ(Merged.Sum, All.Sum);
-  EXPECT_DOUBLE_EQ(Merged.Min, All.Min);
-  EXPECT_DOUBLE_EQ(Merged.Max, All.Max);
+  EXPECT_EQ(Merged.count(), All.count());
+  EXPECT_DOUBLE_EQ(Merged.sum(), All.sum());
+  EXPECT_DOUBLE_EQ(Merged.min(), All.min());
+  EXPECT_DOUBLE_EQ(Merged.max(), All.max());
+  EXPECT_EQ(Merged.underflowCount(), All.underflowCount());
+  EXPECT_EQ(Merged.buckets(), All.buckets());
 
   // Merging into an empty series copies; merging an empty one is a no-op.
-  ValueStats Empty;
+  LogHistogram Empty;
   Empty.merge(A);
-  EXPECT_EQ(Empty.Count, A.Count);
-  ValueStats Copy = A;
-  Copy.merge(ValueStats());
-  EXPECT_EQ(Copy.Count, A.Count);
-  EXPECT_DOUBLE_EQ(Copy.Sum, A.Sum);
+  EXPECT_EQ(Empty.count(), A.count());
+  EXPECT_DOUBLE_EQ(Empty.min(), A.min());
+  LogHistogram Copy = A;
+  Copy.merge(LogHistogram());
+  EXPECT_EQ(Copy.count(), A.count());
+  EXPECT_DOUBLE_EQ(Copy.sum(), A.sum());
 }
 
 TEST(StatsRegistry, MergeFromCombinesAllSections) {
@@ -133,8 +136,8 @@ TEST(StatsRegistry, MergeFromCombinesAllSections) {
   EXPECT_EQ(A.getCounter("c"), 3u);
   EXPECT_EQ(A.getCounter("only_b"), 3u);
   EXPECT_DOUBLE_EQ(A.getTime("t"), 0.75);
-  EXPECT_EQ(A.getValue("v").Count, 2u);
-  EXPECT_DOUBLE_EQ(A.getValue("v").Max, 6.0);
+  EXPECT_EQ(A.getValue("v").count(), 2u);
+  EXPECT_DOUBLE_EQ(A.getValue("v").max(), 6.0);
 }
 
 TEST(StatsRegistry, JsonParsesBackWithAllSections) {
@@ -177,10 +180,10 @@ TEST(Telemetry, ScopedTimerRecordsTraceAndTimer) {
   {
     ScopedSession Scope(S);
     {
-      ScopedTimer T("unit.phase");
+      Span T("unit.phase");
     }
     instant("unit.mark");
-    ScopedTimer Stopped("unit.early");
+    Span Stopped("unit.early");
     Stopped.stop();
     Stopped.stop(); // idempotent
   }
@@ -195,7 +198,7 @@ TEST(Telemetry, TraceJsonIsWellFormedTraceEventFormat) {
   {
     ScopedSession Scope(S);
     {
-      ScopedTimer T("phase \"one\"", "cat");
+      Span T("phase \"one\"", "cat");
     }
     instant("marker");
   }
@@ -286,12 +289,12 @@ TEST(Telemetry, StatsDeterministicAcrossIdenticalRuns) {
   ASSERT_GE(A.stats().numCounters(), 10u);
   for (const char *Name :
        {"partitioner.final_cut", "gdp.cut_weight", "sched.block_length"}) {
-    ValueStats VA = A.stats().getValue(Name);
-    ValueStats VB = B.stats().getValue(Name);
-    EXPECT_EQ(VA.Count, VB.Count) << Name;
-    EXPECT_DOUBLE_EQ(VA.Sum, VB.Sum) << Name;
-    EXPECT_DOUBLE_EQ(VA.Min, VB.Min) << Name;
-    EXPECT_DOUBLE_EQ(VA.Max, VB.Max) << Name;
+    LogHistogram VA = A.stats().getValue(Name);
+    LogHistogram VB = B.stats().getValue(Name);
+    EXPECT_EQ(VA.count(), VB.count()) << Name;
+    EXPECT_DOUBLE_EQ(VA.sum(), VB.sum()) << Name;
+    EXPECT_DOUBLE_EQ(VA.min(), VB.min()) << Name;
+    EXPECT_DOUBLE_EQ(VA.max(), VB.max()) << Name;
   }
 }
 
@@ -302,7 +305,7 @@ TEST(Telemetry, DisabledFastPathAllocatesNothing) {
     counter("hot.counter", 3);
     value("hot.value", 1.5);
     instant("hot.marker");
-    ScopedTimer T("hot.phase");
+    Span T("hot.phase");
     // Spans with attributes must be equally free when no session is
     // installed: attr() formats only behind the enabled check.
     Span Sp("hot.span", "cat");

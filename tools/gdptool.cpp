@@ -40,7 +40,6 @@
 #include "serve/Daemon.h"
 #include "sim/Simulator.h"
 #include "support/FaultInjector.h"
-#include "support/MetricsHub.h"
 #include "support/Status.h"
 #include "support/StrUtil.h"
 #include "support/Telemetry.h"
@@ -215,18 +214,24 @@ public:
     Scope.reset(); // Uninstall before exporting.
     if (!Session)
       return;
-    // The finished session feeds the process-wide hub — the same flow a
-    // long-running gdpd would use per request; --prometheus then snapshots
-    // the hub the way its --stats endpoint will.
-    telemetry::MetricsHub::global().publish(*Session);
     bool WroteOk = true;
     if (!StatsPath.empty())
       WroteOk &= writeFile(StatsPath, Session->stats().toJson());
     if (!TracePath.empty())
       WroteOk &= writeFile(TracePath, Session->trace().toJson());
+    // Two process-level lines follow the session's own metrics: the
+    // session count (always one per gdptool process) and the warm-history
+    // arena gauge, which never belongs in any session's stats.
     if (!PrometheusPath.empty())
-      WroteOk &= writeFile(PrometheusPath,
-                           telemetry::MetricsHub::global().toPrometheus());
+      WroteOk &= writeFile(
+          PrometheusPath,
+          Session->stats().toPrometheus() +
+              formatStr("# TYPE gdp_sessions_published_total counter\n"
+                        "gdp_sessions_published_total 1\n"
+                        "# TYPE gdp_arena_blocks gauge\n"
+                        "gdp_arena_blocks %lld\n",
+                        static_cast<long long>(
+                            support::processArenaBlocks())));
     if (!WroteOk)
       std::exit(1);
   }
@@ -821,7 +826,8 @@ int cmdReport(const std::string &Spec, unsigned Latency, unsigned Clusters,
   // -- Prepared-program cache ----------------------------------------------
   Section("prepared-program cache");
   {
-    telemetry::ValueStats Resident = Stats.getValue("prepared_cache.resident");
+    telemetry::LogHistogram Resident =
+        Stats.getValue("prepared_cache.resident");
     Out += formatStr("hits %llu, misses %llu, evictions %llu; peak resident "
                      "entries %g\n",
                      static_cast<unsigned long long>(
@@ -830,20 +836,20 @@ int cmdReport(const std::string &Spec, unsigned Latency, unsigned Clusters,
                          Stats.getCounter("prepared_cache.misses")),
                      static_cast<unsigned long long>(
                          Stats.getCounter("prepared_cache.evictions")),
-                     Resident.Max);
+                     Resident.max());
   }
 
   // -- Arena (transient partitioning state) --------------------------------
   Section("arena");
   {
-    telemetry::ValueStats High = Stats.getValue("arena.high_water_bytes");
+    telemetry::LogHistogram High = Stats.getValue("arena.high_water_bytes");
     Out += formatStr("scratch scopes %llu, requested bytes %llu, peak "
                      "scope live %g bytes; %lld warm blocks process-wide\n",
                      static_cast<unsigned long long>(
                          Stats.getCounter("arena.resets")),
                      static_cast<unsigned long long>(
                          Stats.getCounter("arena.bytes_allocated")),
-                     High.Max,
+                     High.max(),
                      static_cast<long long>(support::processArenaBlocks()));
   }
 
@@ -851,9 +857,8 @@ int cmdReport(const std::string &Spec, unsigned Latency, unsigned Clusters,
   Section("quantile metrics");
   {
     ReportTable T({"metric", "count", "mean", "p50", "p90", "p99"});
-    for (const auto &[Name, H] : Stats.quantileSnapshot()) {
-      telemetry::ValueStats V = Stats.getValue(Name);
-      T.addRow({Name, u64Str(H.count()), formatDouble(V.mean(), 3),
+    for (const auto &[Name, H] : Stats.valueSnapshot()) {
+      T.addRow({Name, u64Str(H.count()), formatDouble(H.mean(), 3),
                 formatDouble(H.quantile(0.50), 3),
                 formatDouble(H.quantile(0.90), 3),
                 formatDouble(H.quantile(0.99), 3)});
